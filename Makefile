@@ -6,9 +6,9 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: check vet build test race fuzz-short fuzz doccheck api-test bench bench-transport bench-trace bench-journal bench-aggcore bench-fanout bench-history dst crash cover
+.PHONY: check vet build test race fuzz-short fuzz doccheck api-test aqbench-selftest bench bench-transport bench-trace bench-journal bench-aggcore bench-fanout bench-history dst crash cover
 
-check: vet build race fuzz-short api-test dst crash doccheck
+check: vet build race fuzz-short api-test aqbench-selftest dst crash doccheck
 
 vet:
 	$(GO) vet ./...
@@ -40,6 +40,14 @@ fuzz-short:
 api-test:
 	$(GO) test ./cmd/aqserver -race -count=1 \
 		-run 'TestAPI|TestRuntimeQueryMetricLabelParity'
+
+# The benchmark harness (aqbench/, its own module) builds against
+# internal/core and internal/obs/tracez. Vet and test it here, in the
+# environment aqbench/run.sh builds it in, so an API change that breaks
+# the harness fails `make check` rather than a later benchmark run.
+AQBENCH_ENV = GOFLAGS= GOWORK=off GOPROXY=off GOTOOLCHAIN=local GOENV=off CGO_ENABLED=0
+aqbench-selftest:
+	cd aqbench && $(AQBENCH_ENV) $(GO) vet ./... && $(AQBENCH_ENV) $(GO) test ./...
 
 # Deterministic simulation sweep under the race detector: every seed runs
 # the full differential oracle (sync/concurrent equivalence, quality

@@ -126,20 +126,28 @@ func BenchmarkKSlackInsert(b *testing.B) {
 }
 
 // BenchmarkAQKSlackInsert measures the adaptive handler's per-tuple cost
-// (estimator + controller included).
+// (estimator + controller included) on the same tuples as
+// BenchmarkKSlackInsert, one sub-benchmark per error-model path: sum and
+// avg take the closed form, max and p95 the common-random-numbers
+// simulation (docs/ALGORITHMS.md, "Error model"). EXPERIMENTS.md R7
+// records the adaptive-to-fixed ratios.
 func BenchmarkAQKSlackInsert(b *testing.B) {
 	tuples := benchTuples(100000)
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := core.NewAQKSlack(core.Config{Theta: 0.01, Spec: spec, Agg: window.Sum()})
-		var out []stream.Tuple
-		for _, t := range tuples {
-			out = h.Insert(stream.DataItem(t), out[:0])
-		}
+	for _, agg := range []window.Factory{window.Sum(), window.Avg(), window.Max(), window.Quantile(0.95)} {
+		b.Run(agg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h := core.NewAQKSlack(core.Config{Theta: 0.01, Spec: spec, Agg: agg})
+				var out []stream.Tuple
+				for _, t := range tuples {
+					out = h.Insert(stream.DataItem(t), out[:0])
+				}
+			}
+			b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
+		})
 	}
-	b.ReportMetric(float64(len(tuples)*b.N)/b.Elapsed().Seconds(), "tuples/s")
 }
 
 // BenchmarkPaneOpObserve measures the pane-based operator on the same
@@ -343,7 +351,7 @@ func BenchmarkGKSketchAdd(b *testing.B) {
 }
 
 // BenchmarkEstimatorMinK measures one full model-driven slack selection
-// (the expensive Monte-Carlo inversion plus sketch bisection).
+// (the error-model inversion plus sketch bisection).
 func BenchmarkEstimatorMinK(b *testing.B) {
 	spec := window.Spec{Size: 10 * stream.Second, Slide: stream.Second}
 	e := core.NewEstimator(spec, window.Sum(), core.EstimatorConfig{Seed: 2})

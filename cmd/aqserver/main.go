@@ -163,7 +163,6 @@ func newApp(cfg appConfig) (*app, error) {
 		a.srv.history = obs.NewHistory(a.srv.reg, obs.HistoryOptions{
 			Step: cfg.statsStep, Retention: cfg.statsRetention})
 		a.srv.sloBudget = cfg.sloBudget
-		a.srv.history.Start() // drain stops it
 	}
 	if cfg.listen != "" || cfg.apiOn {
 		a.fleet = fleet.NewRegistry(fleet.Options{Quotas: cfg.quotas, Metrics: a.srv.reg})
@@ -272,6 +271,11 @@ func newApp(cfg appConfig) (*app, error) {
 		a.groups = append(a.groups, group)
 		a.bases = append(a.bases, sp.name)
 		a.loads = append(a.loads, sp.load)
+	}
+	if a.srv.history != nil {
+		// Sample only once every runner is started: the sampler reads
+		// runner gauges that start() initializes.
+		a.srv.history.Start() // drain stops it
 	}
 	return a, nil
 }

@@ -10,9 +10,12 @@
 //
 //  1. a lateness sketch (Greenwald–Khanna quantile summary over observed
 //     tuple lateness) yields P(lateness > K) for any candidate K;
-//  2. an aggregate-specific error model — a Monte-Carlo simulation over a
-//     reservoir sample of recent tuple values — maps the induced tuple-loss
-//     probability to an expected relative window error;
+//  2. an aggregate-specific error model maps the induced tuple-loss
+//     probability to an expected relative window error over a reservoir
+//     sample of recent tuple values: in closed form from the sample's
+//     moments for sum, count and avg, and by a Monte-Carlo simulation on
+//     common random numbers for every other aggregate (and wherever the
+//     closed form's normal approximation does not hold);
 //  3. a proportional–integral (PI) controller trims the model's choice
 //     using the realized error, measured a posteriori: stragglers
 //     eventually arrive, so the true value of each emitted window becomes
@@ -42,13 +45,20 @@ type Estimator struct {
 	rng      *stats.RNG
 	trials   int
 	observed int64
+
+	kind      errKind
+	crnSeed   uint64   // seed of the current draw set; 0 until the first one
+	crnWindow int      // simulated window size of the current draw set
+	draws     []uint64 // trials × crnWindow draws expanded from crnSeed
+	drawn     bool     // draws matches (crnSeed, crnWindow)
+	envBuf    []float64
 }
 
 // EstimatorConfig parameterizes NewEstimator. Zero values select defaults.
 type EstimatorConfig struct {
 	SketchEps     float64 // GK rank error; default 0.005
 	ReservoirSize int     // value sample size; default 512
-	MCTrials      int     // Monte-Carlo trials per estimate; default 16
+	MCTrials      int     // simulated windows per draw set; default 16
 	CountAlpha    float64 // EWMA factor for window tuple count; default 0.2
 	Seed          uint64
 }
@@ -84,6 +94,7 @@ func NewEstimator(spec window.Spec, agg window.Factory, cfg EstimatorConfig) *Es
 		winCount: stats.NewEWMA(cfg.CountAlpha),
 		rng:      rng,
 		trials:   cfg.MCTrials,
+		kind:     errKindOf(agg),
 	}
 }
 
@@ -151,87 +162,83 @@ func (e *Estimator) WindowCount() int {
 	return n
 }
 
-// EstimateErr predicts the expected relative window error at slack k by
-// Monte-Carlo: draw a synthetic window of the estimated size from the
-// value sample, drop each element with probability PLoss(k), and compare
-// the aggregate of the thinned window against the full one. The generic
-// simulation handles every aggregate — including max and quantiles, whose
-// error is driven by the value distribution, not just the loss fraction.
+// EstimateErr predicts the expected relative window error at slack k:
+// the error model (see errModel) evaluated at the loss probability
+// PLoss(k). It runs no fresh simulation: the closed-form aggregates need
+// no randomness, and the simulated ones reuse the draw set of the last
+// MaxTolerableLoss refresh (an estimator that has not refreshed yet
+// starts one).
 func (e *Estimator) EstimateErr(k stream.Time) float64 {
-	p := e.PLoss(k)
-	return e.estimateErrAt(p)
+	return e.model().err(e.PLoss(k), 1)
 }
 
 func (e *Estimator) estimateErrAt(p float64) float64 {
-	return e.estimateErrScaled(p, 1)
-}
-
-// estimateErrScaled simulates thinning at probability p with survivor
-// values multiplied by scale (1 for plain loss; 1/(1−p) for
-// Horvitz–Thompson compensated shedding).
-func (e *Estimator) estimateErrScaled(p, scale float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	sample := e.values.Sample()
-	if len(sample) == 0 {
-		// No value information yet: fall back to the loss fraction, the
-		// exact error of count and the iid-expected error of sum.
-		return p
-	}
-	n := e.WindowCount()
-	// Cap the simulated window size: beyond ~1k elements the relative
-	// error of subset aggregates is insensitive to n for the loss
-	// probabilities of interest, and the cap bounds adaptation cost.
-	const maxWindow = 1024
-	if n > maxWindow {
-		n = maxWindow
-	}
-	var errSum float64
-	for t := 0; t < e.trials; t++ {
-		full := e.agg.New()
-		thin := e.agg.New()
-		for i := 0; i < n; i++ {
-			v := sample[e.rng.Intn(len(sample))]
-			full.Add(v)
-			if e.rng.Float64() >= p {
-				thin.Add(v * scale)
-			}
-		}
-		errSum += relErrEst(thin.Value(), full.Value())
-	}
-	return errSum / float64(e.trials)
+	return e.model().err(p, 1)
 }
 
 // EstimateShedErr predicts the relative window error of uniform shedding
 // at probability p. With compensated set, survivor values are scaled by
 // 1/(1−p) (Horvitz–Thompson): unbiased for linear aggregates like sum —
 // only sampling variance remains — while distorting location and extreme
-// statistics (avg, min, max, quantiles), which the simulation reports
-// faithfully. Count cannot be value-compensated; its error stays ≈ p
+// statistics (avg, min, max, quantiles), which the model reports
+// faithfully. Count cannot be value-compensated; its error stays p
 // either way.
 func (e *Estimator) EstimateShedErr(p float64, compensated bool) float64 {
-	scale := 1.0
+	return e.model().err(p, shedScale(p, compensated))
+}
+
+func shedScale(p float64, compensated bool) float64 {
 	if compensated && p < 1 {
-		scale = 1 / (1 - p)
+		return 1 / (1 - p)
 	}
-	return e.estimateErrScaled(p, scale)
+	return 1
 }
 
 // MaxTolerableShed inverts EstimateShedErr: the largest shedding
-// probability whose estimated error stays within target.
+// probability (at most 0.99 — total shedding is never sensible) whose
+// estimated error stays within target. Like MaxTolerableLoss it starts a
+// fresh draw set.
 func (e *Estimator) MaxTolerableShed(target float64, compensated bool) float64 {
 	if target <= 0 {
 		return 0
 	}
-	probe := func(p float64) float64 { return e.EstimateShedErr(p, compensated) }
-	if probe(0.99) <= target {
-		return 0.99 // cap: total shedding is never sensible
+	e.redraw()
+	m := e.model()
+	if !compensated {
+		m.tabulate()
 	}
-	lo, hi := 0.0, 0.99
+	return maxWithin(target, 0.99, func(p float64) float64 { return m.err(p, shedScale(p, compensated)) })
+}
+
+// MaxTolerableLoss inverts the error model: it returns the largest
+// (tuple, window) loss probability whose estimated relative error stays
+// within target. This is the expensive half of slack selection, and its
+// result depends only on the value distribution and window size, which
+// drift slowly; AQKSlack caches it across adaptation steps. Each call
+// starts a fresh draw set for the simulated aggregates, which every probe
+// of the bisection — and every EstimateErr until the next call — shares.
+func (e *Estimator) MaxTolerableLoss(target float64) float64 {
+	if target <= 0 {
+		return 0
+	}
+	e.redraw()
+	m := e.model()
+	m.tabulate()
+	return maxWithin(target, 1, func(p float64) float64 { return m.err(p, 1) })
+}
+
+// maxWithin bisects for the largest p in [0, hi] with err(p) <= target.
+// The error model is non-decreasing in p — the closed forms analytically,
+// the simulated aggregates by construction (see errModel.simulate), the
+// closed-form aggregates' fallback in expectation — so bisection applies.
+func maxWithin(target, hi float64, err func(float64) float64) float64 {
+	if err(hi) <= target {
+		return hi
+	}
+	lo := 0.0 // invariant: err(lo) <= target < err(hi)
 	for i := 0; i < 12; i++ {
 		mid := (lo + hi) / 2
-		if probe(mid) <= target {
+		if err(mid) <= target {
 			lo = mid
 		} else {
 			hi = mid
@@ -255,32 +262,6 @@ func relErrEst(e, o float64) float64 {
 		den = 1e-9
 	}
 	return math.Abs(e-o) / den
-}
-
-// MaxTolerableLoss inverts the error model: it returns the largest
-// (tuple, window) loss probability whose estimated relative error stays
-// within target. The error estimate is monotone (in expectation) in the
-// loss probability, so bisection applies. This is the expensive half of
-// slack selection — Monte-Carlo per probe — and its result depends only on
-// the value distribution and window size, which drift slowly; AQKSlack
-// caches it across adaptation steps.
-func (e *Estimator) MaxTolerableLoss(target float64) float64 {
-	if target <= 0 {
-		return 0
-	}
-	if e.estimateErrAt(1) <= target {
-		return 1
-	}
-	lo, hi := 0.0, 1.0 // invariant: err(lo) <= target < err(hi)
-	for i := 0; i < 12; i++ {
-		mid := (lo + hi) / 2
-		if e.estimateErrAt(mid) <= target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // MinKForLoss returns the smallest slack in [0, kMax] whose loss

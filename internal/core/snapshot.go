@@ -50,23 +50,30 @@ func (c *PI) Restore(st PIState) {
 }
 
 // EstimatorState is the exported state of an Estimator. The RNG is shared
-// with the reservoir, so it is snapshotted exactly once, here.
+// with the reservoir, so it is snapshotted exactly once, here. The
+// simulation's draw set is persisted as the seed and window size it
+// expands from; snapshots written before draw sets existed lack both and
+// restore to "none yet", so the next estimate starts one.
 type EstimatorState struct {
-	Lateness stats.GKState        `json:"lateness"`
-	Values   stats.ReservoirState `json:"values"`
-	WinCount stats.EWMAState      `json:"winCount"`
-	RNG      stats.RNGState       `json:"rng"`
-	Observed int64                `json:"observed"`
+	Lateness  stats.GKState        `json:"lateness"`
+	Values    stats.ReservoirState `json:"values"`
+	WinCount  stats.EWMAState      `json:"winCount"`
+	RNG       stats.RNGState       `json:"rng"`
+	Observed  int64                `json:"observed"`
+	CRNSeed   uint64               `json:"crnSeed,omitempty"`
+	CRNWindow int                  `json:"crnWindow,omitempty"`
 }
 
 // State exports the estimator state.
 func (e *Estimator) State() EstimatorState {
 	return EstimatorState{
-		Lateness: e.lateness.State(),
-		Values:   e.values.State(),
-		WinCount: e.winCount.State(),
-		RNG:      e.rng.State(),
-		Observed: e.observed,
+		Lateness:  e.lateness.State(),
+		Values:    e.values.State(),
+		WinCount:  e.winCount.State(),
+		RNG:       e.rng.State(),
+		Observed:  e.observed,
+		CRNSeed:   e.crnSeed,
+		CRNWindow: e.crnWindow,
 	}
 }
 
@@ -77,6 +84,7 @@ func (e *Estimator) Restore(st EstimatorState) {
 	e.winCount.Restore(st.WinCount)
 	e.rng.Restore(st.RNG)
 	e.observed = st.Observed
+	e.crnSeed, e.crnWindow, e.drawn = st.CRNSeed, st.CRNWindow, false
 }
 
 // EmittedVal records the value a shadow window had at emission time, while

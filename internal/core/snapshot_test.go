@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -173,5 +175,104 @@ func TestAQKSlackStateSnapshotIsDeterministic(t *testing.T) {
 		if sa.Emitted[i] != sb.Emitted[i] {
 			t.Fatalf("emitted order nondeterministic at %d", i)
 		}
+	}
+}
+
+// TestAQKSlackStateBetweenRefreshes snapshots a simulated-aggregate
+// handler whose cached loss bound and draw set are mid-way between two
+// MaxTolerableLoss refreshes, restores it through JSON, and requires the
+// identical slack decisions and estimates the uninterrupted handler
+// makes.
+func TestAQKSlackStateBetweenRefreshes(t *testing.T) {
+	mk := func() *AQKSlack {
+		return NewAQKSlack(Config{
+			Theta:        0.005,
+			Spec:         window.Spec{Size: 200, Slide: 100},
+			Agg:          window.Max(),
+			WarmupTuples: 50,
+			Estimator:    EstimatorConfig{Seed: 41, ReservoirSize: 128, MCTrials: 8},
+		})
+	}
+	a := mk()
+	items := aqItems(78, 3000)
+	i := 0
+	var scratch []stream.Tuple
+	for ; i < len(items) && (a.Quality().Adaptations < 60 || a.pMaxAge == 0); i++ {
+		scratch = a.Insert(items[i], scratch[:0])
+	}
+	st := a.State()
+	if st.PMaxAge == 0 || st.Est.CRNSeed == 0 {
+		t.Fatalf("test setup: want a snapshot between refreshes, got pMaxAge=%d crnSeed=%d", st.PMaxAge, st.Est.CRNSeed)
+	}
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded AQState
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	b := mk()
+	b.Restore(decoded)
+
+	changes, k := 0, a.K()
+	for _, it := range items[i:] {
+		scratch = a.Insert(it, scratch[:0])
+		scratch = b.Insert(it, scratch[:0])
+		if a.K() != b.K() || a.Quality() != b.Quality() {
+			t.Fatalf("diverged after restore: K=%d vs %d, quality %+v vs %+v", a.K(), b.K(), a.Quality(), b.Quality())
+		}
+		if a.K() != k {
+			changes, k = changes+1, a.K()
+		}
+	}
+	if changes == 0 {
+		t.Fatal("test setup: the slack never moved after the snapshot")
+	}
+}
+
+// TestEstimatorRestoresSnapshotWithoutDrawSet restores estimator state
+// written before draw sets were persisted: without crnSeed and crnWindow
+// the estimator must start a draw set of its own and keep estimating.
+func TestEstimatorRestoresSnapshotWithoutDrawSet(t *testing.T) {
+	spec := window.Spec{Size: 100, Slide: 50}
+	cfg := EstimatorConfig{Seed: 12, ReservoirSize: 64, MCTrials: 8}
+	a := NewEstimator(spec, window.Quantile(0.95), cfg)
+	rng := stats.NewRNG(4)
+	for i := 0; i < 400; i++ {
+		a.ObserveTuple(rng.ExpFloat64()*30, rng.NormFloat64()*10+50)
+	}
+	a.ObserveWindowCount(40)
+	a.MaxTolerableLoss(0.01)
+
+	raw, err := json.Marshal(a.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["crnSeed"]; !ok {
+		t.Fatal("test setup: current state lacks crnSeed")
+	}
+	delete(fields, "crnSeed")
+	delete(fields, "crnWindow")
+	if raw, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	var old EstimatorState
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	b := NewEstimator(spec, window.Quantile(0.95), cfg)
+	b.Restore(old)
+	for _, k := range []stream.Time{0, 20, 80} {
+		if got := b.EstimateErr(k); math.IsNaN(got) || got < 0 {
+			t.Fatalf("EstimateErr(%d) after restoring an old snapshot = %v", k, got)
+		}
+	}
+	if p := b.MaxTolerableLoss(0.01); p < 0 || p > 1 {
+		t.Fatalf("MaxTolerableLoss after restoring an old snapshot = %v", p)
 	}
 }

@@ -413,7 +413,7 @@ func R7(s Scale) []Table {
 		Title: fmt.Sprintf("disorder-handling throughput (tuples/s, n=%d, incl. window operator)", len(tuples)),
 		Cols:  []string{"handler", "tuples/s", "maxBuffered", "meanErr"},
 		Notes: []string{
-			"expected shape: none is fastest; kslack/maxslack pay the sort heap (~2x); aq pays the estimator (~10-20x vs kslack at the default per-slide adaptation; amortize via Config.AdaptEvery/LossRefresh) while still exceeding 100k tuples/s",
+			"expected shape: none is fastest; kslack/maxslack pay the sort heap (~2x); aq pays its controller (a few times kslack at the default per-slide adaptation; amortize via Config.AdaptEvery/LossRefresh) while still exceeding 100k tuples/s",
 		},
 	}
 	handlers := map[string]func() buffer.Handler{

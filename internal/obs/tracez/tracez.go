@@ -30,7 +30,8 @@
 package tracez
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -248,25 +249,41 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.slots))
-	for i := range r.slots {
-		s := &r.slots[i]
+	return r.collect(r.next.Load(), len(r.slots))
+}
+
+// Last returns the newest n retained events oldest-first (all of them
+// when n <= 0 or exceeds the retained count). It reads only the n
+// newest slots.
+func (r *Recorder) Last(n int) []Event {
+	if r == nil {
+		return nil
+	}
+	next := r.next.Load()
+	if n <= 0 || uint64(n) >= min(next, uint64(len(r.slots))) {
+		return r.collect(next, len(r.slots))
+	}
+	return r.collect(next-uint64(n), n)
+}
+
+// collect reads count slots in ring order starting at the one sequence
+// number from would occupy, skipping slots never written. Without
+// concurrent writers ring order is sequence order; a writer that laps
+// the reader mid-read can break it, and only then is a sort needed.
+func (r *Recorder) collect(from uint64, count int) []Event {
+	out := make([]Event, 0, count)
+	size := uint64(len(r.slots))
+	for i := uint64(0); i < uint64(count); i++ {
+		s := &r.slots[(from+i)%size]
 		s.mu.Lock()
 		if s.set {
 			out = append(out, s.ev)
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// Last returns the newest n retained events oldest-first (all of them
-// when n <= 0 or exceeds the retained count).
-func (r *Recorder) Last(n int) []Event {
-	evs := r.Events()
-	if n > 0 && n < len(evs) {
-		evs = evs[len(evs)-n:]
+	bySeq := func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(out, bySeq) {
+		slices.SortFunc(out, bySeq)
 	}
-	return evs
+	return out
 }

@@ -108,6 +108,82 @@ func TestRecorderConcurrentWriters(t *testing.T) {
 	}
 }
 
+// TestRecorderEventsOrder pins the ring read: oldest-first by sequence
+// number, before and after the ring wraps, for Events and Last, and
+// sorted even when a writer that lapped the reader left the ring out of
+// sequence order.
+func TestRecorderEventsOrder(t *testing.T) {
+	r := NewRecorder(8)
+	for i := 0; i < 5; i++ {
+		r.Record(Event{At: int64(i)})
+	}
+	checkSeqs := func(what string, evs []Event, first, n int) {
+		t.Helper()
+		if len(evs) != n {
+			t.Fatalf("%s: %d events, want %d", what, len(evs), n)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(first+i) || ev.At != int64(first+i) {
+				t.Fatalf("%s[%d] = {Seq:%d At:%d}, want %d", what, i, ev.Seq, ev.At, first+i)
+			}
+		}
+	}
+	checkSeqs("unwrapped Events", r.Events(), 0, 5)
+	checkSeqs("unwrapped Last(2)", r.Last(2), 3, 2)
+	checkSeqs("unwrapped Last(9)", r.Last(9), 0, 5)
+	for i := 5; i < 19; i++ {
+		r.Record(Event{At: int64(i)})
+	}
+	checkSeqs("wrapped Events", r.Events(), 11, 8)
+	checkSeqs("wrapped Last(5)", r.Last(5), 14, 5)
+	checkSeqs("wrapped Last(0)", r.Last(0), 11, 8)
+
+	// A writer that claimed sequence 20 and wrote it into slot 4 while
+	// the reader was mid-ring: ring order no longer matches sequence
+	// order, and the read must fall back to sorting.
+	r.slots[12%8].ev = Event{Seq: 20, At: 20}
+	evs := r.Events()
+	if len(evs) != 8 || evs[len(evs)-1].Seq != 20 {
+		t.Fatalf("lapped ring: got %+v, want the lapping event last", evs)
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq <= evs[i-1].Seq {
+			t.Fatalf("lapped ring not seq-ordered: %d then %d", evs[i-1].Seq, evs[i].Seq)
+		}
+	}
+}
+
+// TestRecorderLastConcurrent reads the newest events while writers lap
+// the ring; under -race this covers the partial read's locking, and
+// every snapshot must come out seq-ordered.
+func TestRecorderLastConcurrent(t *testing.T) {
+	r := NewRecorder(32)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				r.Record(Event{Kind: KindInsert})
+			}
+		}()
+	}
+	for reads := 0; reads < 200; reads++ {
+		for _, evs := range [][]Event{r.Last(7), r.Events()} {
+			for i := 1; i < len(evs); i++ {
+				if evs[i].Seq <= evs[i-1].Seq {
+					t.Fatalf("snapshot not seq-ordered: %d then %d", evs[i-1].Seq, evs[i].Seq)
+				}
+			}
+		}
+	}
+	wg.Wait()
+	if evs := r.Last(7); len(evs) != 7 || evs[6].Seq != r.Total()-1 {
+		t.Fatalf("Last(7) after the writers = %d events ending at %d, want 7 ending at %d",
+			len(evs), evs[len(evs)-1].Seq, r.Total()-1)
+	}
+}
+
 func TestTracerProvenance(t *testing.T) {
 	tr := New(NewRecorder(1024), "q")
 	tr.SetTheta(0.01)

@@ -138,6 +138,7 @@ type GK struct {
 	eps     float64
 	n       int64
 	entries []gkEntry
+	spare   []gkEntry // flush's merge target; swapped with entries
 	pending []float64 // small insert buffer to amortize compress cost
 	cumG    []int64   // prefix sums of entry g values; rebuilt lazily
 	dirty   bool      // cumG out of date
@@ -172,7 +173,10 @@ func (g *GK) flush() {
 		return
 	}
 	sort.Float64s(g.pending)
-	out := make([]gkEntry, 0, len(g.entries)+len(g.pending))
+	// Merge into the spare buffer, then swap: the controller flushes on
+	// every adaptation step, and a fresh slice per flush dominated its
+	// allocations.
+	out := g.spare[:0]
 	i := 0
 	for _, x := range g.pending {
 		for i < len(g.entries) && g.entries[i].v <= x {
@@ -196,7 +200,7 @@ func (g *GK) flush() {
 		g.n++
 	}
 	out = append(out, g.entries[i:]...)
-	g.entries = out
+	g.spare, g.entries = g.entries, out
 	g.pending = g.pending[:0]
 	g.dirty = true
 	g.compress()
